@@ -8,20 +8,23 @@
 //!   `4d`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ssbyz_core::{Agreement, Duration, LocalTime, NodeId, Params};
+use ssbyz_core::{Agreement, Duration, LocalTime, NodeId, Params, ValueInterner};
 use ssbyz_harness::experiments::run_correct_general;
 
 /// Abort latency with vs without block T: drives a single Agreement state
 /// machine to its abort via ticks and reports the local time it took.
 fn abort_latency(params: Params) -> Duration {
     let tau_g = LocalTime::from_nanos(1_000_000_000_000);
-    let mut agr: Agreement<u64> = Agreement::new(NodeId::new(1), NodeId::new(0), params);
+    let mut values: ValueInterner<u64> = ValueInterner::new();
+    let seven = values.intern(&7);
+    let mut agr = Agreement::new(NodeId::new(1), NodeId::new(0), params);
     let mut out = Vec::new();
     // A late anchor (outside block R) with no broadcasters.
     agr.on_i_accept(
         tau_g + params.d() * 5u64,
-        7,
+        seven,
         tau_g,
+        &values,
         &mut Vec::new(),
         &mut out,
     );

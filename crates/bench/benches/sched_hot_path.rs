@@ -7,7 +7,7 @@
 //! `SSBYZ_BENCH_JSON=/tmp/b.json cargo bench --bench sched_hot_path`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ssbyz_simnet::sched::reference::ReferenceQueue;
+use ssbyz_reference::ReferenceQueue;
 use ssbyz_simnet::sched::{EventQueue, TimerHandle, TimerWheel};
 
 const SIZES: [usize; 3] = [4, 16, 64];

@@ -10,10 +10,9 @@
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use ssbyz_core::engine::reference::ReferenceEngine;
-use ssbyz_core::store::reference::ReferenceArrivalLog;
 use ssbyz_core::store::ArrivalLog;
 use ssbyz_core::{Engine, IaKind, Msg, Outbox, Params};
+use ssbyz_reference::{ReferenceArrivalLog, ReferenceEngine};
 use ssbyz_types::{Duration, LocalTime, NodeId};
 
 const SIZES: [usize; 3] = [4, 16, 64];
@@ -114,8 +113,8 @@ fn bench_engine_ia_support(c: &mut Criterion) {
 }
 
 /// The identical support workload against the retained Vec-returning
-/// dispatch (`engine::reference`): fresh output + staging vectors per
-/// call, same underlying state machines.
+/// dispatch (`ssbyz_reference::ReferenceEngine`): fresh output + staging
+/// vectors per call over the value-keyed state machines.
 fn bench_engine_ia_support_reference(c: &mut Criterion) {
     let mut g = c.benchmark_group("store_hot_path/engine_ia_support_reference");
     for n in SIZES {

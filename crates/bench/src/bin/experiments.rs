@@ -13,6 +13,24 @@ use ssbyz_harness::experiments as ex;
 use ssbyz_pulse::run_pulse;
 use ssbyz_types::{Duration, NodeId};
 
+/// A table's CLI name and the function that prints it.
+type Table = (&'static str, fn(u64));
+
+/// Every table by CLI name, in the order `all` runs them.
+const TABLES: [Table; 11] = [
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("e4", e4),
+    ("e5", e5),
+    ("e6", |seeds| e6(seeds.min(5))),
+    ("e7", e7),
+    ("e8", e8),
+    ("e9", |seeds| e9(seeds.min(3))),
+    ("e10", |_| e10()),
+    ("e11", |seeds| e11(seeds.min(3))),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which = "all".to_string();
@@ -31,39 +49,17 @@ fn main() {
         }
         i += 1;
     }
-    let all = which == "all";
-    if all || which == "e1" {
-        e1(seeds);
-    }
-    if all || which == "e2" {
-        e2(seeds);
-    }
-    if all || which == "e3" {
-        e3(seeds);
-    }
-    if all || which == "e4" {
-        e4(seeds);
-    }
-    if all || which == "e5" {
-        e5(seeds);
-    }
-    if all || which == "e6" {
-        e6(seeds.min(5));
-    }
-    if all || which == "e7" {
-        e7(seeds);
-    }
-    if all || which == "e8" {
-        e8(seeds);
-    }
-    if all || which == "e9" {
-        e9(seeds.min(3));
-    }
-    if all || which == "e10" {
-        e10();
-    }
-    if all || which == "e11" {
-        e11(seeds.min(3));
+    if which == "all" {
+        TABLES.iter().for_each(|(_, run)| run(seeds));
+    } else if let Some((_, run)) = TABLES.iter().find(|(name, _)| *name == which) {
+        run(seeds);
+    } else {
+        let names: Vec<&str> = TABLES.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "unknown table `{which}`; valid names: all, {}",
+            names.join(", ")
+        );
+        std::process::exit(2);
     }
 }
 

@@ -20,8 +20,6 @@
 //! The implementation is a pure state machine: callers feed `(local time,
 //! sender, message)` and collect [`IaAction`]s.
 
-use std::collections::BTreeMap;
-
 use ssbyz_types::{Duration, LocalTime, NodeId, Value};
 
 use crate::intern::{ValueId, ValueIdMap, ValueInterner};
@@ -112,497 +110,40 @@ impl ValueState {
     }
 }
 
-/// One instance of the `Initiator-Accept` primitive: node `me`'s view of
-/// General `general`.
-///
-/// # Example
-///
-/// Drive a 4-node instance to an I-accept by hand:
-///
-/// ```
-/// use ssbyz_core::{InitiatorAccept, IaAction, IaKind, Params};
-/// use ssbyz_types::{Duration, LocalTime, NodeId};
-///
-/// let params = Params::from_d(4, 1, Duration::from_millis(10), 0)?;
-/// let g = NodeId::new(0);
-/// let mut ia = InitiatorAccept::<u64>::new(NodeId::new(1), g, params);
-/// let t0 = LocalTime::from_nanos(1_000_000_000);
-/// let mut out = Vec::new();
-/// ia.on_initiator(t0, 7, &mut out); // Block K fires → support sent
-/// assert!(matches!(out[0], IaAction::Send { kind: IaKind::Support, .. }));
-/// # Ok::<(), ssbyz_types::ConfigError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct InitiatorAccept<V: Value> {
-    me: NodeId,
-    general: NodeId,
-    params: Params,
-    values: BTreeMap<V, ValueState>,
-    /// `last(G)` with change history.
-    last_g: TimedVar<LocalTime>,
-    /// Times at which *this node* sent `(support, G, ·)` — line K1 window.
-    own_support_times: Vec<LocalTime>,
-}
-
 /// Cap on concurrently tracked values per General. A Byzantine General can
 /// mint arbitrarily many values; tracked state is bounded by evicting the
 /// least-recently-touched value.
 pub const MAX_TRACKED_VALUES: usize = 256;
 
-impl<V: Value> InitiatorAccept<V> {
-    /// Creates a fresh instance (all variables ⊥, no messages).
-    #[must_use]
-    pub fn new(me: NodeId, general: NodeId, params: Params) -> Self {
-        InitiatorAccept {
-            me,
-            general,
-            params,
-            values: BTreeMap::new(),
-            last_g: TimedVar::new(),
-            own_support_times: Vec::new(),
-        }
-    }
-
-    /// The General this instance tracks.
-    #[must_use]
-    pub fn general(&self) -> NodeId {
-        self.general
-    }
-
-    /// The node this instance runs at.
-    #[must_use]
-    pub fn node_id(&self) -> NodeId {
-        self.me
-    }
-
-    /// Block K: the primitive is explicitly invoked by an authenticated
-    /// `(Initiator, G, m)` message from the General.
-    pub fn on_initiator(&mut self, now: LocalTime, value: V, out: &mut Vec<IaAction<V>>) {
-        self.on_initiator_ref(now, &value, out);
-    }
-
-    /// By-reference variant of [`InitiatorAccept::on_initiator`] — the hot
-    /// path for shared (`Arc`-delivered) payloads: the value is cloned only
-    /// when the guards pass and state must actually be created.
-    pub fn on_initiator_ref(&mut self, now: LocalTime, value: &V, out: &mut Vec<IaAction<V>>) {
-        if self.is_ignoring(value, now) {
-            return;
-        }
-        let d = self.params.d();
-        // K1 — all four guards.
-        let other_i_value = self
-            .values
-            .iter()
-            .any(|(v, st)| v != value && st.i_value.is_some());
-        let last_g_set = self.last_g.get().is_some();
-        let recent_own_support = self
-            .own_support_times
-            .iter()
-            .any(|t| !t.is_after(now) && now.since(*t) <= d);
-        let last_gm_set_d_ago = self
-            .values
-            .get(value)
-            .is_some_and(|st| st.last_gm.at(now - d).is_some());
-        if other_i_value || last_g_set || recent_own_support || last_gm_set_d_ago {
-            return;
-        }
-        // K2 — record time (d before now: the message took up to d to
-        // arrive), support the value, stamp last(G, m).
-        let st = self.state_mut(now, value);
-        st.i_value = Some(now - d);
-        st.last_gm.set(now, now);
-        st.touched = Some(now);
-        self.send(now, IaKind::Support, value.clone(), out);
-        self.evaluate(now, value, out);
-    }
-
-    /// Feeds a stage message from an authenticated `sender`; runs blocks
-    /// L/M/N for the value.
-    pub fn on_message(
-        &mut self,
-        now: LocalTime,
-        sender: NodeId,
-        kind: IaKind,
-        value: V,
-        out: &mut Vec<IaAction<V>>,
-    ) {
-        self.on_message_ref(now, sender, kind, &value, out);
-    }
-
-    /// By-reference variant of [`InitiatorAccept::on_message`]: duplicate
-    /// and suppressed deliveries never clone the payload.
-    pub fn on_message_ref(
-        &mut self,
-        now: LocalTime,
-        sender: NodeId,
-        kind: IaKind,
-        value: &V,
-        out: &mut Vec<IaAction<V>>,
-    ) {
-        if sender.index() >= self.params.n() {
-            return; // sender outside the fixed membership
-        }
-        if self.is_ignoring(value, now) {
-            return;
-        }
-        let st = self.state_mut(now, value);
-        st.log_mut(kind).record(now, sender);
-        st.touched = Some(now);
-        self.evaluate(now, value, out);
-    }
-
-    /// Runs lines L1–N4 for `value` against the current logs. Safe to call
-    /// at any time; also invoked on periodic ticks so stalled resends
-    /// recover after a network storm.
-    pub fn evaluate(&mut self, now: LocalTime, value: &V, out: &mut Vec<IaAction<V>>) {
-        let d = self.params.d();
-        let weak = self.params.weak_quorum();
-        let strong = self.params.quorum();
-        let Some(st) = self.values.get_mut(value) else {
-            return;
-        };
-
-        // L1/L2 — shortest suffix window of ≤ 4d holding a weak quorum of
-        // supports; record max(i_value, t_k − 2d).
-        if let Some(tk) = st.support.kth_latest_in_window(now, d * 4u64, weak) {
-            let candidate = tk - d * 2u64;
-            st.i_value = Some(match st.i_value {
-                Some(cur) if cur.is_after(candidate) => cur,
-                _ => candidate,
-            });
-            st.last_gm.set(now, now);
-        }
-        // L3/L4 — strong quorum of supports within 2d ⇒ approve.
-        let mut send_approve = false;
-        if st.support.distinct_in_window(now, d * 2u64) >= strong {
-            send_approve = true;
-            st.last_gm.set(now, now);
-        }
-        // M1/M2 — weak quorum of approves within 5d ⇒ arm ready flag.
-        if st.approve.distinct_in_window(now, d * 5u64) >= weak {
-            st.ready_at = Some(now);
-            st.last_gm.set(now, now);
-        }
-        // M3/M4 — strong quorum of approves within 3d ⇒ send ready.
-        let mut send_ready = false;
-        if st.approve.distinct_in_window(now, d * 3u64) >= strong {
-            send_ready = true;
-            st.last_gm.set(now, now);
-        }
-        // N1/N2 — untimed: armed + weak quorum of readys ⇒ amplify.
-        if st.ready_at.is_some() && st.ready.distinct_total() >= weak {
-            send_ready = true;
-            st.last_gm.set(now, now);
-        }
-        // N3/N4 — armed + strong quorum of readys ⇒ I-accept.
-        let mut accept: Option<(V, LocalTime)> = None;
-        let mut flush_wave = false;
-        if st.accepted_at.is_none() && st.ready_at.is_some() && st.ready.distinct_total() >= strong
-        {
-            if let Some(tau_g) = st.i_value {
-                accept = Some((value.clone(), tau_g));
-            } else {
-                // Stabilization guard: a ready quorum without a recorded
-                // i_value can only be transient-fault residue (the paper's
-                // Lemma 2 shows the estimate is always defined once the
-                // system is stable). Flush the bogus wave rather than
-                // accept an undefined anchor.
-                flush_wave = true;
-            }
-        }
-
-        if send_approve {
-            self.send(now, IaKind::Approve, value.clone(), out);
-        }
-        if send_ready {
-            self.send(now, IaKind::Ready, value.clone(), out);
-        }
-        if flush_wave {
-            let st = self.values.get_mut(value).expect("state exists");
-            st.support.clear();
-            st.approve.clear();
-            st.ready.clear();
-            st.ready_at = None;
-            st.ignore_until = Some(now + d * 3u64);
-        }
-        if let Some((v, tau_g)) = accept {
-            self.do_accept(now, &v, tau_g, out);
-        }
-    }
-
-    /// Line N4 body.
-    fn do_accept(
-        &mut self,
-        now: LocalTime,
-        value: &V,
-        tau_g: LocalTime,
-        out: &mut Vec<IaAction<V>>,
-    ) {
-        let d = self.params.d();
-        // i_values[G, ∗] := ⊥ for every value.
-        for st in self.values.values_mut() {
-            st.i_value = None;
-        }
-        let st = self.values.get_mut(value).expect("state exists");
-        st.support.clear();
-        st.approve.clear();
-        st.ready.clear();
-        st.ignore_until = Some(now + d * 3u64);
-        st.accepted_at = Some(now);
-        st.last_gm.set(now, now);
-        self.last_g.set(now, now);
-        out.push(IaAction::Accepted {
-            value: value.clone(),
-            tau_g,
-        });
-    }
-
-    /// Whether `(G, m)` messages are currently being ignored (3d after an
-    /// I-accept of `m`).
-    #[must_use]
-    pub fn is_ignoring(&self, value: &V, now: LocalTime) -> bool {
-        self.values
-            .get(value)
-            .and_then(|st| st.ignore_until)
-            .is_some_and(|until| until.is_after(now))
-    }
-
-    fn state_mut(&mut self, now: LocalTime, value: &V) -> &mut ValueState {
-        if !self.values.contains_key(value) {
-            if self.values.len() >= MAX_TRACKED_VALUES {
-                // Evict the least-recently-touched value to bound memory
-                // under a value-minting Byzantine General.
-                if let Some(evict) = self
-                    .values
-                    .iter()
-                    .max_by_key(|(_, st)| {
-                        st.touched
-                            .map_or(u64::MAX, |t| now.since_or_zero(t).as_nanos())
-                    })
-                    .map(|(v, _)| v.clone())
-                {
-                    self.values.remove(&evict);
-                }
-            }
-            // The only place the hot path clones the payload: first sight
-            // of a value.
-            self.values.insert(value.clone(), ValueState::default());
-        }
-        self.values.get_mut(value).expect("just ensured present")
-    }
-
-    fn send(&mut self, now: LocalTime, kind: IaKind, value: V, out: &mut Vec<IaAction<V>>) {
-        let gap = self.params.resend_gap();
-        let st = self.state_mut(now, &value);
-        let slot = &mut st.sent[kind as usize];
-        if slot.is_some_and(|last| !last.is_after(now) && now.since(last) < gap) {
-            return;
-        }
-        *slot = Some(now);
-        if kind == IaKind::Support {
-            self.own_support_times.push(now);
-        }
-        out.push(IaAction::Send { kind, value });
-    }
-
-    /// Fig. 2 cleanup: decays every message, value and guard variable.
-    /// Entries stamped in the future of `now` are treated as transient
-    /// residue and dropped.
-    pub fn cleanup(&mut self, now: LocalTime) {
-        let p = self.params;
-        let d = p.d();
-        let rmv = p.delta_rmv();
-        let expired = |t: Option<LocalTime>, horizon: Duration| {
-            t.is_some_and(|t| t.is_after(now) || now.since(t) > horizon)
-        };
-        for st in self.values.values_mut() {
-            st.support.prune(now, rmv);
-            st.approve.prune(now, rmv);
-            st.ready.prune(now, rmv);
-            if expired(st.i_value, rmv) {
-                st.i_value = None;
-            }
-            if expired(st.ready_at, rmv) {
-                st.ready_at = None;
-            }
-            if let Some(until) = st.ignore_until {
-                // Expired, or stamped absurdly far in the future.
-                if !until.is_after(now) || until.since(now) > d * 3u64 {
-                    st.ignore_until = None;
-                }
-            }
-            for slot in &mut st.sent {
-                if expired(*slot, rmv) {
-                    *slot = None;
-                }
-            }
-            if expired(st.accepted_at, rmv) {
-                st.accepted_at = None;
-            }
-            // last(G, m) expiry: > τq or < τq − (2Δ_rmv + 9d).
-            let gm_expiry = p.last_gm_expiry();
-            if expired(st.last_gm.get().copied(), gm_expiry) {
-                st.last_gm.clear(now);
-            }
-            st.last_gm.prune(now, gm_expiry + d * 2u64);
-            // Line K1 only ever queries the history at τq − d: superseded
-            // entries past 2d of lookback are dead weight minted at spam
-            // rate — compact them.
-            st.last_gm.compact_history(now, d * 2u64);
-            if expired(st.touched, rmv * 2u64 + d * 16u64) {
-                st.touched = None;
-            }
-        }
-        self.values.retain(|_, st| !st.is_dormant());
-        // last(G) expiry: > τq or < τq − (Δ0 − 6d).
-        if expired(self.last_g.get().copied(), p.last_g_expiry()) {
-            self.last_g.clear(now);
-        }
-        self.last_g.prune(now, p.last_g_expiry() + d * 2u64);
-        self.last_g.compact_history(now, d * 2u64);
-        self.own_support_times
-            .retain(|t| !t.is_after(now) && now.since(*t) <= d * 2u64);
-    }
-
-    /// Reset after the surrounding agreement returned (3d grace included
-    /// by the caller): clears logs, estimates and the accept latch but
-    /// **keeps** the `last(G)` / `last(G, m)` guards, which enforce the
-    /// initiation-spacing rules across executions and expire on their own
-    /// schedule.
-    pub fn reset_for_next_execution(&mut self, _now: LocalTime) {
-        for st in self.values.values_mut() {
-            st.i_value = None;
-            st.ready_at = None;
-            st.support.clear();
-            st.approve.clear();
-            st.ready.clear();
-            st.ignore_until = None;
-            st.sent = [None; 3];
-            st.accepted_at = None;
-        }
-        self.own_support_times.clear();
-        self.values.retain(|_, st| !st.is_dormant());
-    }
-
-    /// The General clears all messages of previous invocations of its own
-    /// primitive before initiating (paper §4). Guards are kept.
-    pub fn clear_messages_before_initiation(&mut self) {
-        for st in self.values.values_mut() {
-            st.support.clear();
-            st.approve.clear();
-            st.ready.clear();
-            st.ready_at = None;
-        }
-    }
-
-    /// The current `i_values[G, m]` entry.
-    #[must_use]
-    pub fn i_value(&self, value: &V) -> Option<LocalTime> {
-        self.values.get(value).and_then(|st| st.i_value)
-    }
-
-    /// Whether any `i_values[G, ·]` entry is set.
-    #[must_use]
-    pub fn any_i_value(&self) -> bool {
-        self.values.values().any(|st| st.i_value.is_some())
-    }
-
-    /// Whether the `ready(G, m)` flag is armed.
-    #[must_use]
-    pub fn is_ready(&self, value: &V) -> bool {
-        self.values
-            .get(value)
-            .is_some_and(|st| st.ready_at.is_some())
-    }
-
-    /// The `last(G)` guard.
-    #[must_use]
-    pub fn last_g(&self) -> Option<LocalTime> {
-        self.last_g.get().copied()
-    }
-
-    /// The `last(G, m)` guard.
-    #[must_use]
-    pub fn last_gm(&self, value: &V) -> Option<LocalTime> {
-        self.values
-            .get(value)
-            .and_then(|st| st.last_gm.get().copied())
-    }
-
-    /// This node's own sending progress for `value` (``[IG3]`` detection).
-    #[must_use]
-    pub fn own_progress(&self, value: &V) -> OwnProgress {
-        let Some(st) = self.values.get(value) else {
-            return OwnProgress::default();
-        };
-        OwnProgress {
-            approve_sent: st.sent[IaKind::Approve as usize],
-            ready_sent: st.sent[IaKind::Ready as usize],
-            accepted_at: st.accepted_at,
-        }
-    }
-
-    /// Number of distinct senders whose `kind` message for `value` is in
-    /// `[now − window, now]` (test/introspection helper).
-    #[must_use]
-    pub fn count_in_window(
-        &self,
-        now: LocalTime,
-        kind: IaKind,
-        value: &V,
-        window: Duration,
-    ) -> usize {
-        self.values
-            .get(value)
-            .map_or(0, |st| st.log(kind).distinct_in_window(now, window))
-    }
-
-    /// Raw corruption hooks for the transient-fault harness.
-    pub fn corrupt_i_value(&mut self, value: V, stamp: LocalTime) {
-        self.values.entry(value).or_default().i_value = Some(stamp);
-    }
-
-    /// Corrupts the `ready` flag (transient-fault harness).
-    pub fn corrupt_ready(&mut self, value: V, stamp: LocalTime) {
-        self.values.entry(value).or_default().ready_at = Some(stamp);
-    }
-
-    /// Corrupts the guards (transient-fault harness).
-    pub fn corrupt_guards(&mut self, value: V, last_g: LocalTime, last_gm: LocalTime) {
-        self.last_g.inject_raw(last_g, Some(last_g));
-        self.values
-            .entry(value)
-            .or_default()
-            .last_gm
-            .inject_raw(last_gm, Some(last_gm));
-    }
-
-    /// Injects a bogus arrival (transient-fault harness).
-    pub fn corrupt_log(&mut self, kind: IaKind, value: V, sender: NodeId, stamp: LocalTime) {
-        self.values
-            .entry(value)
-            .or_default()
-            .log_mut(kind)
-            .inject_raw(sender, stamp);
-    }
-}
-
-/// The [`ValueId`](crate::intern::ValueId)-keyed `Initiator-Accept` used
-/// on the engine's delivery path: per-value state lives in dense
-/// [`ValueIdMap`](crate::intern::ValueIdMap) slots, so the per-delivery
-/// value lookup is an array index instead of the `BTreeMap` walk the
-/// value-keyed [`InitiatorAccept`] (the golden model) performs.
+/// One instance of the `Initiator-Accept` primitive: node `me`'s view of
+/// General `general`.
 ///
-/// The state machine is a line-for-line port of [`InitiatorAccept`]; the
-/// equivalence battery (`crates/core/tests/intern_equivalence.rs`)
-/// requires the interned engine to stay bit-identical to the value-keyed
-/// dispatch. The interner itself is owned by the
-/// [`Engine`](crate::Engine), which interns each wire value once at the
-/// boundary and resolves ids back to values only at output emission; the
-/// few methods here that need value *ordering* (the eviction tie-break)
-/// borrow it read-only.
+/// Per-value state lives in dense [`ValueIdMap`] slots keyed by interned
+/// [`ValueId`]s, so the per-delivery value lookup is an array index. The
+/// interner itself is owned by the [`Engine`](crate::Engine), which
+/// interns each wire value once at the boundary and resolves ids back to
+/// values only at output emission; the few methods here that need value
+/// *ordering* (the eviction tie-break) borrow it read-only.
+///
+/// # Example
+///
+/// Invoke block K on a 4-node instance by hand:
+///
+/// ```
+/// use ssbyz_core::{IaAction, IaKind, InitiatorAccept, Params, ValueInterner};
+/// use ssbyz_types::{Duration, LocalTime, NodeId};
+///
+/// let params = Params::from_d(4, 1, Duration::from_millis(10), 0)?;
+/// let mut values: ValueInterner<u64> = ValueInterner::new();
+/// let mut ia = InitiatorAccept::new(NodeId::new(1), NodeId::new(0), params);
+/// let seven = values.intern(&7);
+/// let mut out = Vec::new();
+/// ia.on_initiator(LocalTime::from_nanos(1_000_000_000), seven, &values, &mut out);
+/// assert_eq!(out[0], IaAction::Send { kind: IaKind::Support, value: seven });
+/// # Ok::<(), ssbyz_types::ConfigError>(())
+/// ```
 #[derive(Debug, Clone)]
-pub struct InternedInitiatorAccept {
+pub struct InitiatorAccept {
     me: NodeId,
     general: NodeId,
     params: Params,
@@ -613,11 +154,11 @@ pub struct InternedInitiatorAccept {
     own_support_times: Vec<LocalTime>,
 }
 
-impl InternedInitiatorAccept {
+impl InitiatorAccept {
     /// Creates a fresh instance (all variables ⊥, no messages).
     #[must_use]
     pub fn new(me: NodeId, general: NodeId, params: Params) -> Self {
-        InternedInitiatorAccept {
+        InitiatorAccept {
             me,
             general,
             params,
@@ -712,8 +253,7 @@ impl InternedInitiatorAccept {
         // L1–L4 — one fused pass over the support log: the shortest
         // suffix window of ≤ 4d holding a weak quorum (record
         // max(i_value, t_k − 2d)) and the strong-quorum 2d count. The
-        // value-keyed golden model issues these as two separate scans;
-        // the fused query returns bit-identical answers.
+        // fused query answers exactly as the two separate scans would.
         let (tk, support_2d) =
             st.support
                 .kth_latest_with_inner_count(now, d * 4u64, weak, d * 2u64);
@@ -823,12 +363,11 @@ impl InternedInitiatorAccept {
     ) -> &mut ValueState {
         if !self.values.contains(value) {
             if self.values.len() >= MAX_TRACKED_VALUES {
-                // Evict the least-recently-touched value. The golden model
-                // scans its `BTreeMap` in ascending value order and
-                // `max_by_key` keeps the *last* maximum, i.e. the largest
-                // value among the equally-oldest — replicate that
-                // tie-break through the interner so the two dispatches
-                // never diverge.
+                // Evict the least-recently-touched value; among the
+                // equally-oldest, the largest value (resolved through the
+                // interner) goes. The tie-break is independent of id
+                // assignment and matches the value-keyed golden model in
+                // `ssbyz-reference`.
                 let mut evict: Option<(u64, ValueId)> = None;
                 for (v, st) in self.values.iter() {
                     let age = st
@@ -875,7 +414,9 @@ impl InternedInitiatorAccept {
         out.push(IaAction::Send { kind, value });
     }
 
-    /// Fig. 2 cleanup — identical decay schedule to the value-keyed model.
+    /// Fig. 2 cleanup: decays every message, value and guard variable.
+    /// Entries stamped in the future of `now` are treated as transient
+    /// residue and dropped.
     pub fn cleanup(&mut self, now: LocalTime) {
         let p = self.params;
         let d = p.d();
@@ -1064,6 +605,7 @@ impl InternedInitiatorAccept {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use IaKind::{Approve, Ready, Support};
 
     const D: u64 = 10_000_000; // 10ms in ns
 
@@ -1085,8 +627,117 @@ mod tests {
         NodeId::new(n)
     }
 
-    fn ia4() -> InitiatorAccept<u64> {
-        InitiatorAccept::new(id(1), id(0), params4())
+    /// Node 1's instance for General 0, driven with plain `u64` values: a
+    /// [`ValueInterner`] maps each value to its id on the way in and back
+    /// on the way out. Id-free methods reach the primitive through `Deref`.
+    struct Ia {
+        ia: InitiatorAccept,
+        values: ValueInterner<u64>,
+    }
+
+    impl std::ops::Deref for Ia {
+        type Target = InitiatorAccept;
+        fn deref(&self) -> &InitiatorAccept {
+            &self.ia
+        }
+    }
+
+    impl std::ops::DerefMut for Ia {
+        fn deref_mut(&mut self) -> &mut InitiatorAccept {
+            &mut self.ia
+        }
+    }
+
+    impl Ia {
+        fn new(params: Params) -> Self {
+            Ia {
+                ia: InitiatorAccept::new(id(1), id(0), params),
+                values: ValueInterner::new(),
+            }
+        }
+
+        fn resolve(&self, acts: Vec<IaAction<ValueId>>, out: &mut Vec<IaAction<u64>>) {
+            out.extend(acts.into_iter().map(|a| match a {
+                IaAction::Send { kind, value } => IaAction::Send {
+                    kind,
+                    value: *self.values.resolve(value),
+                },
+                IaAction::Accepted { value, tau_g } => IaAction::Accepted {
+                    value: *self.values.resolve(value),
+                    tau_g,
+                },
+            }));
+        }
+
+        fn on_initiator(&mut self, now: LocalTime, value: u64, out: &mut Vec<IaAction<u64>>) {
+            let (v, mut acts) = (self.values.intern(&value), Vec::new());
+            self.ia.on_initiator(now, v, &self.values, &mut acts);
+            self.resolve(acts, out);
+        }
+
+        fn on_message(
+            &mut self,
+            now: LocalTime,
+            sender: NodeId,
+            kind: IaKind,
+            value: u64,
+            out: &mut Vec<IaAction<u64>>,
+        ) {
+            let (v, mut acts) = (self.values.intern(&value), Vec::new());
+            self.ia
+                .on_message(now, sender, kind, v, &self.values, &mut acts);
+            self.resolve(acts, out);
+        }
+
+        fn i_value(&self, value: &u64) -> Option<LocalTime> {
+            self.values.lookup(value).and_then(|v| self.ia.i_value(v))
+        }
+
+        fn is_ready(&self, value: &u64) -> bool {
+            self.values
+                .lookup(value)
+                .is_some_and(|v| self.ia.is_ready(v))
+        }
+
+        fn is_ignoring(&self, value: &u64, now: LocalTime) -> bool {
+            self.values
+                .lookup(value)
+                .is_some_and(|v| self.ia.is_ignoring(v, now))
+        }
+
+        fn last_gm(&self, value: &u64) -> Option<LocalTime> {
+            self.values.lookup(value).and_then(|v| self.ia.last_gm(v))
+        }
+
+        fn own_progress(&self, value: &u64) -> OwnProgress {
+            (self.values.lookup(value))
+                .map_or_else(OwnProgress::default, |v| self.ia.own_progress(v))
+        }
+
+        fn count_in_window(&self, now: LocalTime, kind: IaKind, value: &u64, w: Duration) -> usize {
+            self.values
+                .lookup(value)
+                .map_or(0, |v| self.ia.count_in_window(now, kind, v, w))
+        }
+
+        fn corrupt_i_value(&mut self, value: u64, stamp: LocalTime) {
+            let v = self.values.intern(&value);
+            self.ia.corrupt_i_value(v, stamp);
+        }
+
+        fn corrupt_ready(&mut self, value: u64, stamp: LocalTime) {
+            let v = self.values.intern(&value);
+            self.ia.corrupt_ready(v, stamp);
+        }
+
+        fn corrupt_guards(&mut self, value: u64, last_g: LocalTime, last_gm: LocalTime) {
+            let v = self.values.intern(&value);
+            self.ia.corrupt_guards(v, last_g, last_gm);
+        }
+    }
+
+    fn ia4() -> Ia {
+        Ia::new(params4())
     }
 
     fn sends(out: &[IaAction<u64>]) -> Vec<(IaKind, u64)> {
@@ -1109,7 +760,7 @@ mod tests {
 
     /// Drives a fresh instance through a clean accept: all 4 nodes support,
     /// approve, ready within d of each other.
-    fn run_clean_accept(ia: &mut InitiatorAccept<u64>, start: LocalTime) -> Vec<IaAction<u64>> {
+    fn run_clean_accept(ia: &mut Ia, start: LocalTime) -> Vec<IaAction<u64>> {
         let mut out = Vec::new();
         let d = Duration::from_nanos(D);
         ia.on_initiator(start, 7, &mut out);
@@ -1117,7 +768,7 @@ mod tests {
             ia.on_message(
                 start + d / 2 + Duration::from_nanos(i as u64),
                 id(*node),
-                IaKind::Support,
+                Support,
                 7,
                 &mut out,
             );
@@ -1126,7 +777,7 @@ mod tests {
             ia.on_message(
                 start + d + Duration::from_nanos(i as u64),
                 id(*node),
-                IaKind::Approve,
+                Approve,
                 7,
                 &mut out,
             );
@@ -1135,7 +786,7 @@ mod tests {
             ia.on_message(
                 start + d * 2u64 + Duration::from_nanos(i as u64),
                 id(*node),
-                IaKind::Ready,
+                Ready,
                 7,
                 &mut out,
             );
@@ -1148,7 +799,7 @@ mod tests {
         let mut ia = ia4();
         let mut out = Vec::new();
         ia.on_initiator(t(0), 7, &mut out);
-        assert_eq!(sends(&out), vec![(IaKind::Support, 7)]);
+        assert_eq!(sends(&out), vec![(Support, 7)]);
         // K2: i_value := τq − d.
         assert_eq!(ia.i_value(&7), Some(t(0) - Duration::from_nanos(D)));
         assert_eq!(ia.last_gm(&7), Some(t(0)));
@@ -1193,8 +844,8 @@ mod tests {
         let d = Duration::from_nanos(D);
         let mut out = Vec::new();
         // Weak quorum of supports at t(0) sets last(G, 7) at t(0).
-        ia.on_message(t(0), id(2), IaKind::Support, 7, &mut out);
-        ia.on_message(t(0), id(3), IaKind::Support, 7, &mut out);
+        ia.on_message(t(0), id(2), Support, 7, &mut out);
+        ia.on_message(t(0), id(3), Support, 7, &mut out);
         assert_eq!(ia.last_gm(&7), Some(t(0)));
         out.clear();
         // Invocation at t(0) + 2d: at τq − d = t(0) + d the guard was set
@@ -1205,7 +856,7 @@ mod tests {
         // still ⊥ → K succeeds (the paper checks the state d ago, so a
         // very recent set does not block).
         ia.on_initiator(t(0) + d / 2, 7, &mut out);
-        assert_eq!(sends(&out), vec![(IaKind::Support, 7)]);
+        assert_eq!(sends(&out), vec![(Support, 7)]);
     }
 
     #[test]
@@ -1214,9 +865,9 @@ mod tests {
         let mut ia = ia4();
         let d = Duration::from_nanos(D);
         let mut out = Vec::new();
-        ia.on_message(t(0), id(2), IaKind::Support, 7, &mut out);
+        ia.on_message(t(0), id(2), Support, 7, &mut out);
         assert_eq!(ia.i_value(&7), None, "one support is not enough");
-        ia.on_message(t(100), id(3), IaKind::Support, 7, &mut out);
+        ia.on_message(t(100), id(3), Support, 7, &mut out);
         // Shortest suffix containing both: ends now, starts at t(0).
         // i_value = t(0) − 2d (the k-th latest arrival minus 2d).
         assert_eq!(ia.i_value(&7), Some(t(0) - d * 2u64));
@@ -1228,8 +879,8 @@ mod tests {
         let d = Duration::from_nanos(D);
         let mut out = Vec::new();
         ia.on_initiator(t(0), 7, &mut out); // i_value = t(0) − d
-        ia.on_message(t(1), id(2), IaKind::Support, 7, &mut out);
-        ia.on_message(t(2), id(3), IaKind::Support, 7, &mut out);
+        ia.on_message(t(1), id(2), Support, 7, &mut out);
+        ia.on_message(t(2), id(3), Support, 7, &mut out);
         // Candidate from L2 is t(1) − 2d < t(0) − d → keep the larger.
         assert_eq!(ia.i_value(&7), Some(t(0) - d));
     }
@@ -1239,35 +890,35 @@ mod tests {
         let mut ia = ia4();
         let d = Duration::from_nanos(D);
         let mut out = Vec::new();
-        ia.on_message(t(0), id(0), IaKind::Support, 7, &mut out);
-        ia.on_message(t(1), id(2), IaKind::Support, 7, &mut out);
-        assert!(sends(&out).iter().all(|(k, _)| *k != IaKind::Approve));
-        ia.on_message(t(2), id(3), IaKind::Support, 7, &mut out);
+        ia.on_message(t(0), id(0), Support, 7, &mut out);
+        ia.on_message(t(1), id(2), Support, 7, &mut out);
+        assert!(sends(&out).iter().all(|(k, _)| *k != Approve));
+        ia.on_message(t(2), id(3), Support, 7, &mut out);
         assert!(
-            sends(&out).contains(&(IaKind::Approve, 7)),
+            sends(&out).contains(&(Approve, 7)),
             "3 supports within 2d ⇒ approve"
         );
         // Supports spread beyond 2d never fire L4:
         let mut ia2 = ia4();
         let mut out2 = Vec::new();
-        ia2.on_message(t(0), id(0), IaKind::Support, 8, &mut out2);
-        ia2.on_message(t(0) + d, id(2), IaKind::Support, 8, &mut out2);
-        ia2.on_message(t(0) + d * 3u64, id(3), IaKind::Support, 8, &mut out2);
-        assert!(sends(&out2).iter().all(|(k, _)| *k != IaKind::Approve));
+        ia2.on_message(t(0), id(0), Support, 8, &mut out2);
+        ia2.on_message(t(0) + d, id(2), Support, 8, &mut out2);
+        ia2.on_message(t(0) + d * 3u64, id(3), Support, 8, &mut out2);
+        assert!(sends(&out2).iter().all(|(k, _)| *k != Approve));
     }
 
     #[test]
     fn m_blocks_arm_and_send_ready() {
         let mut ia = ia4();
         let mut out = Vec::new();
-        ia.on_message(t(0), id(0), IaKind::Approve, 7, &mut out);
+        ia.on_message(t(0), id(0), Approve, 7, &mut out);
         assert!(!ia.is_ready(&7));
-        ia.on_message(t(1), id(2), IaKind::Approve, 7, &mut out);
+        ia.on_message(t(1), id(2), Approve, 7, &mut out);
         assert!(ia.is_ready(&7), "weak quorum of approves arms ready");
-        assert!(sends(&out).iter().all(|(k, _)| *k != IaKind::Ready));
-        ia.on_message(t(2), id(3), IaKind::Approve, 7, &mut out);
+        assert!(sends(&out).iter().all(|(k, _)| *k != Ready));
+        ia.on_message(t(2), id(3), Approve, 7, &mut out);
         assert!(
-            sends(&out).contains(&(IaKind::Ready, 7)),
+            sends(&out).contains(&(Ready, 7)),
             "strong quorum of approves ⇒ ready message"
         );
     }
@@ -1277,17 +928,14 @@ mod tests {
         let mut ia = ia4();
         let mut out = Vec::new();
         // Weak quorum of ready messages without the armed flag: nothing.
-        ia.on_message(t(0), id(0), IaKind::Ready, 7, &mut out);
-        ia.on_message(t(1), id(2), IaKind::Ready, 7, &mut out);
+        ia.on_message(t(0), id(0), Ready, 7, &mut out);
+        ia.on_message(t(1), id(2), Ready, 7, &mut out);
         assert!(out.is_empty());
         // Arm via approves, then a single further ready event triggers N2.
-        ia.on_message(t(2), id(0), IaKind::Approve, 7, &mut out);
-        ia.on_message(t(3), id(2), IaKind::Approve, 7, &mut out);
+        ia.on_message(t(2), id(0), Approve, 7, &mut out);
+        ia.on_message(t(3), id(2), Approve, 7, &mut out);
         assert!(ia.is_ready(&7));
-        assert!(
-            sends(&out).contains(&(IaKind::Ready, 7)),
-            "N2 amplifies once armed"
-        );
+        assert!(sends(&out).contains(&(Ready, 7)), "N2 amplifies once armed");
     }
 
     #[test]
@@ -1316,7 +964,7 @@ mod tests {
         // ignored for 3d and the latch is set.
         let mut out2 = Vec::new();
         for node in [0u32, 2, 3] {
-            ia.on_message(t(30), id(node), IaKind::Ready, 7, &mut out2);
+            ia.on_message(t(30), id(node), Ready, 7, &mut out2);
         }
         assert!(accepts(&out2).is_empty());
     }
@@ -1329,7 +977,7 @@ mod tests {
         // i_value exists → the wave is flushed, no accept.
         ia.corrupt_ready(7, t(0));
         for (i, node) in [0u32, 2, 3].iter().enumerate() {
-            ia.on_message(t(i as u64), id(*node), IaKind::Ready, 7, &mut out);
+            ia.on_message(t(i as u64), id(*node), Ready, 7, &mut out);
         }
         assert!(accepts(&out).is_empty());
         assert!(!ia.is_ready(&7), "flush clears the armed flag");
@@ -1353,24 +1001,21 @@ mod tests {
         let mut ia = ia4();
         let mut out = Vec::new();
         for node in [0u32, 2, 3] {
-            ia.on_message(t(0), id(node), IaKind::Support, 7, &mut out);
+            ia.on_message(t(0), id(node), Support, 7, &mut out);
         }
-        let approves = sends(&out)
-            .iter()
-            .filter(|(k, _)| *k == IaKind::Approve)
-            .count();
+        let approves = sends(&out).iter().filter(|(k, _)| *k == Approve).count();
         assert_eq!(approves, 1, "one approve per resend gap");
         // After the gap, the (still-satisfied) condition resends.
         out.clear();
         ia.on_message(
             t(0) + Duration::from_nanos(D) + Duration::from_nanos(1),
             id(0),
-            IaKind::Support,
+            Support,
             7,
             &mut out,
         );
         // The 2d window still holds a strong quorum (all arrived ≤ 2d ago).
-        assert!(sends(&out).contains(&(IaKind::Approve, 7)));
+        assert!(sends(&out).contains(&(Approve, 7)));
     }
 
     #[test]
@@ -1410,16 +1055,13 @@ mod tests {
         let p = params4();
         let mut ia = ia4();
         let mut out = Vec::new();
-        ia.on_message(t(0), id(2), IaKind::Support, 7, &mut out);
-        assert_eq!(
-            ia.count_in_window(t(1), IaKind::Support, &7, p.delta_rmv()),
-            1
-        );
+        ia.on_message(t(0), id(2), Support, 7, &mut out);
+        assert_eq!(ia.count_in_window(t(1), Support, &7, p.delta_rmv()), 1);
         ia.cleanup(t(0) + p.delta_rmv() + Duration::from_nanos(1));
         assert_eq!(
             ia.count_in_window(
                 t(0) + p.delta_rmv() + Duration::from_nanos(1),
-                IaKind::Support,
+                Support,
                 &7,
                 p.delta_rmv()
             ),
@@ -1457,27 +1099,27 @@ mod tests {
     fn seven_node_quorums() {
         // n=7, f=2: weak=3, strong=5.
         let p = params7();
-        let mut ia: InitiatorAccept<u64> = InitiatorAccept::new(id(1), id(0), p);
+        let mut ia = Ia::new(p);
         let mut out = Vec::new();
         for node in [0u32, 2, 3] {
-            ia.on_message(t(0), id(node), IaKind::Support, 7, &mut out);
+            ia.on_message(t(0), id(node), Support, 7, &mut out);
         }
         assert!(ia.i_value(&7).is_some(), "weak quorum (3) records");
-        assert!(sends(&out).iter().all(|(k, _)| *k != IaKind::Approve));
+        assert!(sends(&out).iter().all(|(k, _)| *k != Approve));
         for node in [4u32, 5] {
-            ia.on_message(t(1), id(node), IaKind::Support, 7, &mut out);
+            ia.on_message(t(1), id(node), Support, 7, &mut out);
         }
-        assert!(sends(&out).contains(&(IaKind::Approve, 7)));
+        assert!(sends(&out).contains(&(Approve, 7)));
     }
 
     #[test]
     fn out_of_membership_sender_rejected() {
         let mut ia = ia4();
         let mut out = Vec::new();
-        ia.on_message(t(0), id(1_000_000), IaKind::Support, 7, &mut out);
+        ia.on_message(t(0), id(1_000_000), Support, 7, &mut out);
         assert!(out.is_empty());
         assert_eq!(
-            ia.count_in_window(t(1), IaKind::Support, &7, Duration::from_secs(100)),
+            ia.count_in_window(t(1), Support, &7, Duration::from_secs(100)),
             0
         );
     }
@@ -1487,10 +1129,10 @@ mod tests {
         let mut ia = ia4();
         let mut out = Vec::new();
         for v in 0..(MAX_TRACKED_VALUES as u64 + 10) {
-            ia.on_message(t(v), id(2), IaKind::Support, v, &mut out);
+            ia.on_message(t(v), id(2), Support, v, &mut out);
         }
         // Bounded:
-        assert!(ia.count_in_window(t(0), IaKind::Support, &0, Duration::from_secs(100)) == 0);
+        assert!(ia.count_in_window(t(0), Support, &0, Duration::from_secs(100)) == 0);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! decide relay names a value the node has already seen. The pre-interning
 //! engine paid a `BTreeMap<V, …>` tree walk for each of those lookups — in
 //! `InitiatorAccept::values`, `MsgdBroadcast::triplets`,
-//! `Agreement::accepted` and the General-side `last_per_value` guard.
+//! `Agreement::accepted` and the General-side `last_per_value` guard. That
+//! value-keyed dispatch survives as the golden model in the dev-only
+//! `ssbyz-reference` crate.
 //!
 //! [`ValueInterner`] removes those walks: a value is hashed **once** at the
 //! engine boundary ([`Engine::on_message_ref`](crate::Engine::on_message_ref)
@@ -478,7 +480,8 @@ impl<V: Value> Default for ValueInterner<V> {
 /// the id — the per-value analogue of
 /// [`DenseNodeMap`](ssbyz_types::DenseNodeMap). Iteration order is
 /// ascending id (arena slot order), **not** value order; call sites whose
-/// output order must match the value-keyed golden model resolve and order
+/// output order must match the value-keyed golden model
+/// (`ssbyz-reference`) resolve and order
 /// explicitly.
 ///
 /// # Example

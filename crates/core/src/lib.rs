@@ -10,6 +10,9 @@
 //!
 //! ## Layers
 //!
+//! Each paper primitive has one implementation, keyed by the interned
+//! [`ValueId`]s the [`Engine`] assigns at its boundary:
+//!
 //! * [`InitiatorAccept`] — assigns all correct nodes a consistent relative
 //!   local-time anchor `τ_G` for a General's initiation and converges on a
 //!   single candidate value (paper Fig. 2, properties [IA-1]–[IA-4]).
@@ -21,6 +24,10 @@
 //! * [`Engine`] — one node's multiplexer over per-General instances, with
 //!   the General-side Sending Validity Criteria ``[IG1]``–``[IG3]`` and the
 //!   periodic state decay that makes everything self-stabilizing.
+//!
+//! The value-keyed golden models these are checked against live in the
+//! dev-only `ssbyz-reference` crate, outside the production dependency
+//! graph.
 //!
 //! Everything is **sans-io**: no clocks, no sockets, no RNG. Feed local
 //! times and messages in, get [`Output`]s back. Deterministic simulation
@@ -62,13 +69,13 @@ pub mod pipeline;
 pub mod proposer;
 pub mod store;
 
-pub use agreement::{AgrAction, Agreement, InternedAgreement};
+pub use agreement::{AgrAction, Agreement};
 pub use corrupt::{Entropy, ScrambleConfig};
 pub use engine::{Engine, Event, InitiateError, Output};
-pub use initiator_accept::{IaAction, InitiatorAccept, InternedInitiatorAccept, OwnProgress};
+pub use initiator_accept::{IaAction, InitiatorAccept, OwnProgress};
 pub use intern::{ValueId, ValueIdMap, ValueInterner};
 pub use message::{BcastKind, IaKind, Msg};
-pub use msgd_broadcast::{InternedMsgdBroadcast, MsgdAction, MsgdBroadcast};
+pub use msgd_broadcast::{MsgdAction, MsgdBroadcast};
 pub use outbox::Outbox;
 pub use params::Params;
 pub use pipeline::{

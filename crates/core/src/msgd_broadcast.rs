@@ -23,8 +23,6 @@
 //! Messages are logged even before the anchor exists ("nodes log messages
 //! until they are able to process them") and evaluated once it does.
 
-use std::collections::BTreeMap;
-
 use ssbyz_types::{DenseNodeMap, LocalTime, NodeId, Value};
 
 use crate::intern::{ValueId, ValueIdMap, ValueInterner};
@@ -131,398 +129,25 @@ impl RoundSlots {
 pub const MAX_TRACKED_TRIPLETS: usize = 4096;
 
 /// One node's `msgd-broadcast` machinery inside the agreement instance of
-/// one General.
+/// one General. The per-value triplet table is a dense [`ValueIdMap`]
+/// keyed by interned [`ValueId`]s, so a delivered echo reaches its
+/// `TripletState` with three array indexings and zero tree walks.
 ///
 /// # Example
 ///
 /// ```
-/// use ssbyz_core::{MsgdBroadcast, MsgdAction, BcastKind, Params};
+/// use ssbyz_core::{BcastKind, MsgdAction, MsgdBroadcast, Params, ValueId};
 /// use ssbyz_types::{Duration, LocalTime, NodeId};
 ///
 /// let params = Params::from_d(4, 1, Duration::from_millis(10), 0)?;
-/// let mut bc = MsgdBroadcast::<u64>::new(NodeId::new(1), NodeId::new(0), params);
+/// let mut bc = MsgdBroadcast::new(NodeId::new(1), params);
 /// let mut out = Vec::new();
-/// bc.invoke(LocalTime::from_nanos(0), 7, 1, &mut out); // block V
+/// bc.invoke(LocalTime::from_nanos(0), ValueId::from_index(0), 1, &mut out); // block V
 /// assert!(matches!(out[0], MsgdAction::Send { kind: BcastKind::Init, .. }));
 /// # Ok::<(), ssbyz_types::ConfigError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct MsgdBroadcast<V: Value> {
-    me: NodeId,
-    #[allow(dead_code)]
-    general: NodeId,
-    params: Params,
-    /// Per value: a dense per-broadcaster table of per-round states. The
-    /// hot path (a delivered echo for a known value) reaches its state
-    /// with one tree lookup on the value and two array indexings — and
-    /// never clones the value.
-    triplets: BTreeMap<V, DenseNodeMap<RoundSlots>>,
-    /// Live [`TripletState`] count across all values (memory bound).
-    triplet_count: usize,
-    broadcasters: DenseNodeMap<LocalTime>,
-}
-
-impl<V: Value> MsgdBroadcast<V> {
-    /// Creates fresh (empty) broadcast state.
-    #[must_use]
-    pub fn new(me: NodeId, general: NodeId, params: Params) -> Self {
-        MsgdBroadcast {
-            me,
-            general,
-            params,
-            triplets: BTreeMap::new(),
-            triplet_count: 0,
-            broadcasters: DenseNodeMap::with_capacity(params.n()),
-        }
-    }
-
-    fn triplet(&self, broadcaster: NodeId, round: u32, value: &V) -> Option<&TripletState> {
-        self.triplets
-            .get(value)
-            .and_then(|pv| pv.get(broadcaster))
-            .and_then(|slots| slots.get(round))
-    }
-
-    fn triplet_entry<'a>(
-        triplets: &'a mut BTreeMap<V, DenseNodeMap<RoundSlots>>,
-        triplet_count: &mut usize,
-        broadcaster: NodeId,
-        round: u32,
-        value: &V,
-    ) -> &'a mut TripletState {
-        if !triplets.contains_key(value) {
-            triplets.insert(value.clone(), DenseNodeMap::new());
-        }
-        let per_value = triplets.get_mut(value).expect("just ensured present");
-        let slots = per_value.get_or_insert_with(broadcaster, RoundSlots::default);
-        let (st, fresh) = slots.ensure(round);
-        if fresh {
-            *triplet_count += 1;
-        }
-        st
-    }
-
-    /// Block V: this node invokes `msgd-broadcast(me, value, round)`.
-    pub fn invoke(&mut self, now: LocalTime, value: V, round: u32, out: &mut Vec<MsgdAction<V>>) {
-        if round == 0 || round > self.params.max_round() {
-            return;
-        }
-        let me = self.me;
-        let st = Self::triplet_entry(
-            &mut self.triplets,
-            &mut self.triplet_count,
-            me,
-            round,
-            &value,
-        );
-        if st.sent[BcastKind::Init as usize] {
-            return;
-        }
-        st.sent[BcastKind::Init as usize] = true;
-        st.touched = Some(now);
-        out.push(MsgdAction::Send {
-            kind: BcastKind::Init,
-            broadcaster: self.me,
-            value,
-            round,
-        });
-    }
-
-    /// Feeds a primitive message from authenticated `sender`. `anchor` is
-    /// the node's `τ_G` if already set; without it the message is only
-    /// logged.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_message(
-        &mut self,
-        now: LocalTime,
-        sender: NodeId,
-        kind: BcastKind,
-        broadcaster: NodeId,
-        value: V,
-        round: u32,
-        anchor: Option<LocalTime>,
-        out: &mut Vec<MsgdAction<V>>,
-    ) {
-        self.on_message_ref(now, sender, kind, broadcaster, &value, round, anchor, out);
-    }
-
-    /// By-reference variant of [`MsgdBroadcast::on_message`]: the payload
-    /// is cloned only on first sight of a value, never per delivery.
-    #[allow(clippy::too_many_arguments)]
-    pub fn on_message_ref(
-        &mut self,
-        now: LocalTime,
-        sender: NodeId,
-        kind: BcastKind,
-        broadcaster: NodeId,
-        value: &V,
-        round: u32,
-        anchor: Option<LocalTime>,
-        out: &mut Vec<MsgdAction<V>>,
-    ) {
-        if round == 0 || round > self.params.max_round() {
-            return; // bogus round — no legitimate broadcast uses it
-        }
-        if broadcaster.index() >= self.params.n() || sender.index() >= self.params.n() {
-            return; // claimed broadcaster or sender outside the membership
-        }
-        if self.triplet_count >= MAX_TRACKED_TRIPLETS
-            && self.triplet(broadcaster, round, value).is_none()
-        {
-            return; // bound memory against triplet-minting adversaries
-        }
-        let st = Self::triplet_entry(
-            &mut self.triplets,
-            &mut self.triplet_count,
-            broadcaster,
-            round,
-            value,
-        );
-        st.touched = Some(now);
-        match kind {
-            BcastKind::Init => {
-                // Only an init from the broadcaster itself counts (W2).
-                if sender == broadcaster && st.init_from_p.is_none() {
-                    st.init_from_p = Some(now);
-                }
-            }
-            BcastKind::Echo => st.echo.record(now, sender),
-            BcastKind::InitPrime => st.init_prime.record(now, sender),
-            BcastKind::EchoPrime => st.echo_prime.record(now, sender),
-        }
-        if let Some(anchor) = anchor {
-            self.evaluate_triplet(now, anchor, broadcaster, round, value, out);
-        }
-    }
-
-    /// Called when the anchor `τ_G` becomes known: evaluates every logged
-    /// triplet against it.
-    pub fn on_anchor(&mut self, now: LocalTime, anchor: LocalTime, out: &mut Vec<MsgdAction<V>>) {
-        let keys: Vec<(NodeId, u32, V)> = self
-            .triplets
-            .iter()
-            .flat_map(|(v, pv)| {
-                pv.iter().flat_map(move |(p, slots)| {
-                    slots
-                        .rounds
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| s.is_some())
-                        .map(move |(i, _)| (p, i as u32 + 1, v.clone()))
-                })
-            })
-            .collect();
-        for (p, k, v) in keys {
-            self.evaluate_triplet(now, anchor, p, k, &v, out);
-        }
-    }
-
-    /// Runs blocks W–Z for one triplet.
-    fn evaluate_triplet(
-        &mut self,
-        now: LocalTime,
-        anchor: LocalTime,
-        broadcaster: NodeId,
-        round: u32,
-        value: &V,
-        out: &mut Vec<MsgdAction<V>>,
-    ) {
-        let phi = self.params.phi();
-        let weak = self.params.weak_quorum();
-        let strong = self.params.quorum();
-        // Elapsed local time since the anchor; a (bogus) future anchor
-        // behaves as "just set".
-        let elapsed = now.since_or_zero(anchor);
-        let k = u64::from(round);
-        let Some(st) = self
-            .triplets
-            .get_mut(value)
-            .and_then(|pv| pv.get_mut(broadcaster))
-            .and_then(|slots| slots.get_mut(round))
-        else {
-            return;
-        };
-        let mut accepted = false;
-        let mut detected = false;
-        // All `Send` actions precede `BroadcasterDetected`/`Accepted` in
-        // the output (the order tests pin); sends are pushed inline as
-        // blocks W–Z fire, which keeps the no-output common case free of
-        // any staging allocation.
-        let send = |kind: BcastKind, out: &mut Vec<MsgdAction<V>>| {
-            out.push(MsgdAction::Send {
-                kind,
-                broadcaster,
-                value: value.clone(),
-                round,
-            });
-        };
-
-        // Block W — by τ_G + 2kΦ.
-        if elapsed <= phi * (2 * k)
-            && st.init_from_p.is_some()
-            && !st.sent[BcastKind::Echo as usize]
-        {
-            st.sent[BcastKind::Echo as usize] = true;
-            send(BcastKind::Echo, out);
-        }
-        // Block X — by τ_G + (2k+1)Φ.
-        if elapsed <= phi * (2 * k + 1) {
-            if st.echo.distinct_total() >= weak && !st.sent[BcastKind::InitPrime as usize] {
-                st.sent[BcastKind::InitPrime as usize] = true;
-                send(BcastKind::InitPrime, out);
-            }
-            if st.echo.distinct_total() >= strong && st.accepted_at.is_none() {
-                st.accepted_at = Some(now);
-                accepted = true;
-            }
-        }
-        // Block Y — by τ_G + (2k+2)Φ.
-        if elapsed <= phi * (2 * k + 2) {
-            if st.init_prime.distinct_total() >= weak && !self.broadcasters.contains(broadcaster) {
-                detected = true;
-            }
-            if st.init_prime.distinct_total() >= strong && !st.sent[BcastKind::EchoPrime as usize] {
-                st.sent[BcastKind::EchoPrime as usize] = true;
-                send(BcastKind::EchoPrime, out);
-            }
-        }
-        // Block Z — untimed.
-        if st.echo_prime.distinct_total() >= weak && !st.sent[BcastKind::EchoPrime as usize] {
-            st.sent[BcastKind::EchoPrime as usize] = true;
-            send(BcastKind::EchoPrime, out);
-        }
-        if st.echo_prime.distinct_total() >= strong && st.accepted_at.is_none() {
-            st.accepted_at = Some(now);
-            accepted = true;
-        }
-        if detected {
-            self.broadcasters.insert(broadcaster, now);
-            out.push(MsgdAction::BroadcasterDetected(broadcaster));
-        }
-        if accepted {
-            out.push(MsgdAction::Accepted {
-                broadcaster,
-                value: value.clone(),
-                round,
-            });
-        }
-    }
-
-    /// Number of detected broadcasters (block T of the agreement).
-    #[must_use]
-    pub fn broadcaster_count(&self) -> usize {
-        self.broadcasters.len()
-    }
-
-    /// Number of triplets with live (logged) state — includes messages
-    /// buffered before the anchor exists. O(1): maintained incrementally.
-    #[must_use]
-    pub fn triplet_count(&self) -> usize {
-        self.triplet_count
-    }
-
-    /// Whether `p` has been detected as a broadcaster.
-    #[must_use]
-    pub fn is_broadcaster(&self, p: NodeId) -> bool {
-        self.broadcasters.contains(p)
-    }
-
-    /// Fig. 3 cleanup: messages older than `(2f + 3)Φ` decay, as do
-    /// future-stamped residues.
-    pub fn cleanup(&mut self, now: LocalTime) {
-        let horizon = self.params.msgd_horizon();
-        let stale =
-            |t: Option<LocalTime>| t.is_some_and(|t| t.is_after(now) || now.since(t) > horizon);
-        let mut removed = 0usize;
-        self.triplets.retain(|_, per_value| {
-            per_value.retain(|_, slots| {
-                for slot in &mut slots.rounds {
-                    let Some(st) = slot.as_mut() else { continue };
-                    st.echo.prune(now, horizon);
-                    st.init_prime.prune(now, horizon);
-                    st.echo_prime.prune(now, horizon);
-                    if stale(st.init_from_p) {
-                        st.init_from_p = None;
-                    }
-                    if stale(st.accepted_at) {
-                        st.accepted_at = None;
-                    }
-                    if stale(st.touched) {
-                        st.touched = None;
-                        st.sent = [false; 4];
-                    }
-                    if st.is_dormant() {
-                        *slot = None;
-                        removed += 1;
-                    }
-                }
-                !slots.is_empty()
-            });
-            !per_value.is_empty()
-        });
-        self.triplet_count -= removed;
-        self.broadcasters
-            .retain(|_, t| !t.is_after(now) && now.since(*t) <= horizon);
-    }
-
-    /// Drops all state (3d after the surrounding agreement returned).
-    pub fn reset(&mut self) {
-        self.triplets.clear();
-        self.triplet_count = 0;
-        self.broadcasters.clear();
-    }
-
-    /// Introspection: whether the triplet has been accepted.
-    #[must_use]
-    pub fn accepted(&self, broadcaster: NodeId, round: u32, value: &V) -> bool {
-        self.triplet(broadcaster, round, value)
-            .is_some_and(|st| st.accepted_at.is_some())
-    }
-
-    /// Corruption hooks for the transient-fault harness. Out-of-range
-    /// rounds are ignored (the protocol never tracks them).
-    pub fn corrupt_triplet(
-        &mut self,
-        broadcaster: NodeId,
-        round: u32,
-        value: V,
-        kind: BcastKind,
-        sender: NodeId,
-        stamp: LocalTime,
-    ) {
-        if round == 0 || round > self.params.max_round() {
-            return;
-        }
-        let st = Self::triplet_entry(
-            &mut self.triplets,
-            &mut self.triplet_count,
-            broadcaster,
-            round,
-            &value,
-        );
-        match kind {
-            BcastKind::Init => st.init_from_p = Some(stamp),
-            BcastKind::Echo => st.echo.inject_raw(sender, stamp),
-            BcastKind::InitPrime => st.init_prime.inject_raw(sender, stamp),
-            BcastKind::EchoPrime => st.echo_prime.inject_raw(sender, stamp),
-        }
-        st.touched = Some(stamp);
-    }
-
-    /// Corruption hook: plants a fake broadcaster entry.
-    pub fn corrupt_broadcaster(&mut self, p: NodeId, stamp: LocalTime) {
-        self.broadcasters.insert(p, stamp);
-    }
-}
-
-/// The [`ValueId`](crate::intern::ValueId)-keyed `msgd-broadcast` used on
-/// the engine's delivery path: the per-value triplet table is a dense
-/// [`ValueIdMap`](crate::intern::ValueIdMap), so a delivered echo reaches
-/// its [`TripletState`] with three array indexings and zero tree walks.
-/// Line-for-line port of the value-keyed [`MsgdBroadcast`] (the golden
-/// model); the interned engine must stay bit-identical to it.
-#[derive(Debug, Clone)]
-pub struct InternedMsgdBroadcast {
+pub struct MsgdBroadcast {
     me: NodeId,
     params: Params,
     triplets: ValueIdMap<DenseNodeMap<RoundSlots>>,
@@ -531,11 +156,11 @@ pub struct InternedMsgdBroadcast {
     broadcasters: DenseNodeMap<LocalTime>,
 }
 
-impl InternedMsgdBroadcast {
+impl MsgdBroadcast {
     /// Creates fresh (empty) broadcast state.
     #[must_use]
     pub fn new(me: NodeId, params: Params) -> Self {
-        InternedMsgdBroadcast {
+        MsgdBroadcast {
             me,
             params,
             triplets: ValueIdMap::new(),
@@ -653,7 +278,7 @@ impl InternedMsgdBroadcast {
     /// evaluation paid **once per wave** instead of once per arrival.
     ///
     /// Bit-identical to feeding the senders through
-    /// [`InternedMsgdBroadcast::on_message`] one by one (the golden
+    /// [`MsgdBroadcast::on_message`] one by one (the golden
     /// model, pinned by the `wave_equivalence` proptests). Two triplet
     /// evaluations make that exact: the first arrival is recorded and
     /// evaluated alone — firing, in block order, any condition already
@@ -751,10 +376,9 @@ impl InternedMsgdBroadcast {
     }
 
     /// Called when the anchor `τ_G` becomes known: evaluates every logged
-    /// triplet against it. The golden model walks its `BTreeMap` in value
-    /// order, so the buffered triplets are evaluated here in the same
-    /// `(value, broadcaster, round)` order — resolved through the
-    /// interner — to keep the output sequences bit-identical.
+    /// triplet against it, in `(value, broadcaster, round)` order — values
+    /// resolved through the interner, so the output sequence does not
+    /// depend on id assignment.
     pub fn on_anchor<V: Value>(
         &mut self,
         now: LocalTime,
@@ -891,7 +515,8 @@ impl InternedMsgdBroadcast {
         self.broadcasters.contains(p)
     }
 
-    /// Fig. 3 cleanup — identical decay schedule to the value-keyed model.
+    /// Fig. 3 cleanup: messages older than `(2f + 3)Φ` decay, as do
+    /// future-stamped residues.
     pub fn cleanup(&mut self, now: LocalTime) {
         let horizon = self.params.msgd_horizon();
         let stale =
@@ -990,6 +615,7 @@ impl InternedMsgdBroadcast {
 mod tests {
     use super::*;
     use ssbyz_types::Duration;
+    use BcastKind::{Echo, EchoPrime, Init, InitPrime};
 
     const D: u64 = 10_000_000;
 
@@ -1005,8 +631,115 @@ mod tests {
         NodeId::new(n)
     }
 
-    fn bc() -> MsgdBroadcast<u64> {
-        MsgdBroadcast::new(id(1), id(0), params4())
+    /// Node 1's broadcast state, driven with plain `u64` values: a
+    /// [`ValueInterner`] maps each value to its id on the way in and back
+    /// on the way out. Id-free methods reach the primitive through `Deref`.
+    struct Bc {
+        bc: MsgdBroadcast,
+        values: ValueInterner<u64>,
+    }
+
+    impl std::ops::Deref for Bc {
+        type Target = MsgdBroadcast;
+        fn deref(&self) -> &MsgdBroadcast {
+            &self.bc
+        }
+    }
+
+    impl std::ops::DerefMut for Bc {
+        fn deref_mut(&mut self) -> &mut MsgdBroadcast {
+            &mut self.bc
+        }
+    }
+
+    impl Bc {
+        fn resolve(&self, acts: Vec<MsgdAction<ValueId>>, out: &mut Vec<MsgdAction<u64>>) {
+            out.extend(acts.into_iter().map(|a| match a {
+                MsgdAction::Send {
+                    kind,
+                    broadcaster,
+                    value,
+                    round,
+                } => MsgdAction::Send {
+                    kind,
+                    broadcaster,
+                    value: *self.values.resolve(value),
+                    round,
+                },
+                MsgdAction::Accepted {
+                    broadcaster,
+                    value,
+                    round,
+                } => MsgdAction::Accepted {
+                    broadcaster,
+                    value: *self.values.resolve(value),
+                    round,
+                },
+                MsgdAction::BroadcasterDetected(p) => MsgdAction::BroadcasterDetected(p),
+            }));
+        }
+
+        fn invoke(
+            &mut self,
+            now: LocalTime,
+            value: u64,
+            round: u32,
+            out: &mut Vec<MsgdAction<u64>>,
+        ) {
+            let (v, mut acts) = (self.values.intern(&value), Vec::new());
+            self.bc.invoke(now, v, round, &mut acts);
+            self.resolve(acts, out);
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn on_message(
+            &mut self,
+            now: LocalTime,
+            sender: NodeId,
+            kind: BcastKind,
+            broadcaster: NodeId,
+            value: u64,
+            round: u32,
+            anchor: Option<LocalTime>,
+            out: &mut Vec<MsgdAction<u64>>,
+        ) {
+            let (v, mut acts) = (self.values.intern(&value), Vec::new());
+            self.bc
+                .on_message(now, sender, kind, broadcaster, v, round, anchor, &mut acts);
+            self.resolve(acts, out);
+        }
+
+        fn on_anchor(&mut self, now: LocalTime, anchor: LocalTime, out: &mut Vec<MsgdAction<u64>>) {
+            let mut acts = Vec::new();
+            self.bc.on_anchor(now, anchor, &self.values, &mut acts);
+            self.resolve(acts, out);
+        }
+
+        fn accepted(&self, broadcaster: NodeId, round: u32, value: &u64) -> bool {
+            self.values
+                .lookup(value)
+                .is_some_and(|v| self.bc.accepted(broadcaster, round, v))
+        }
+
+        fn corrupt_triplet(
+            &mut self,
+            p: NodeId,
+            round: u32,
+            value: u64,
+            kind: BcastKind,
+            sender: NodeId,
+            at: LocalTime,
+        ) {
+            let v = self.values.intern(&value);
+            self.bc.corrupt_triplet(p, round, v, kind, sender, at);
+        }
+    }
+
+    fn bc() -> Bc {
+        Bc {
+            bc: MsgdBroadcast::new(id(1), params4()),
+            values: ValueInterner::new(),
+        }
     }
 
     fn sends(out: &[MsgdAction<u64>]) -> Vec<BcastKind> {
@@ -1030,7 +763,7 @@ mod tests {
         let mut out = Vec::new();
         b.invoke(t(0), 7, 1, &mut out);
         b.invoke(t(1), 7, 1, &mut out);
-        assert_eq!(sends(&out), vec![BcastKind::Init]);
+        assert_eq!(sends(&out), vec![Init]);
     }
 
     #[test]
@@ -1039,29 +772,11 @@ mod tests {
         let anchor = t(0);
         let mut out = Vec::new();
         // init claimed for broadcaster 2 but sent by 3: ignored by W.
-        b.on_message(
-            t(5),
-            id(3),
-            BcastKind::Init,
-            id(2),
-            7,
-            1,
-            Some(anchor),
-            &mut out,
-        );
+        b.on_message(t(5), id(3), Init, id(2), 7, 1, Some(anchor), &mut out);
         assert!(sends(&out).is_empty());
         // Direct init from 2: echo.
-        b.on_message(
-            t(6),
-            id(2),
-            BcastKind::Init,
-            id(2),
-            7,
-            1,
-            Some(anchor),
-            &mut out,
-        );
-        assert_eq!(sends(&out), vec![BcastKind::Echo]);
+        b.on_message(t(6), id(2), Init, id(2), 7, 1, Some(anchor), &mut out);
+        assert_eq!(sends(&out), vec![Echo]);
     }
 
     #[test]
@@ -1072,16 +787,7 @@ mod tests {
         let mut out = Vec::new();
         // k = 1 ⇒ W deadline at anchor + 2Φ.
         let late = anchor + p.phi() * 2u64 + Duration::from_nanos(1);
-        b.on_message(
-            late,
-            id(2),
-            BcastKind::Init,
-            id(2),
-            7,
-            1,
-            Some(anchor),
-            &mut out,
-        );
+        b.on_message(late, id(2), Init, id(2), 7, 1, Some(anchor), &mut out);
         assert!(sends(&out).is_empty(), "past the W deadline no echo");
     }
 
@@ -1090,28 +796,10 @@ mod tests {
         let mut b = bc();
         let anchor = t(0);
         let mut out = Vec::new();
-        b.on_message(
-            t(1),
-            id(0),
-            BcastKind::Echo,
-            id(2),
-            7,
-            1,
-            Some(anchor),
-            &mut out,
-        );
+        b.on_message(t(1), id(0), Echo, id(2), 7, 1, Some(anchor), &mut out);
         assert!(sends(&out).is_empty());
-        b.on_message(
-            t(2),
-            id(3),
-            BcastKind::Echo,
-            id(2),
-            7,
-            1,
-            Some(anchor),
-            &mut out,
-        );
-        assert_eq!(sends(&out), vec![BcastKind::InitPrime]);
+        b.on_message(t(2), id(3), Echo, id(2), 7, 1, Some(anchor), &mut out);
+        assert_eq!(sends(&out), vec![InitPrime]);
     }
 
     #[test]
@@ -1123,7 +811,7 @@ mod tests {
             b.on_message(
                 t(s as u64),
                 id(s),
-                BcastKind::Echo,
+                Echo,
                 id(2),
                 7,
                 1,
@@ -1134,16 +822,7 @@ mod tests {
         assert_eq!(accepts(&out), 1);
         assert!(b.accepted(id(2), 1, &7));
         // Replays never re-accept.
-        b.on_message(
-            t(10),
-            id(0),
-            BcastKind::Echo,
-            id(2),
-            7,
-            1,
-            Some(anchor),
-            &mut out,
-        );
+        b.on_message(t(10), id(0), Echo, id(2), 7, 1, Some(anchor), &mut out);
         assert_eq!(accepts(&out), 1);
     }
 
@@ -1155,16 +834,7 @@ mod tests {
         let mut out = Vec::new();
         let late = anchor + p.phi() * 3u64 + Duration::from_nanos(5); // past (2k+1)Φ for k=1
         for s in [0u32, 2, 3] {
-            b.on_message(
-                late,
-                id(s),
-                BcastKind::Echo,
-                id(2),
-                7,
-                1,
-                Some(anchor),
-                &mut out,
-            );
+            b.on_message(late, id(s), Echo, id(2), 7, 1, Some(anchor), &mut out);
         }
         assert_eq!(accepts(&out), 0, "X accept disabled after deadline");
         // But echo′ path (block Z) still works at any time.
@@ -1172,7 +842,7 @@ mod tests {
             b.on_message(
                 late + Duration::from_nanos(10),
                 id(s),
-                BcastKind::EchoPrime,
+                EchoPrime,
                 id(2),
                 7,
                 1,
@@ -1188,42 +858,15 @@ mod tests {
         let mut b = bc();
         let anchor = t(0);
         let mut out = Vec::new();
-        b.on_message(
-            t(1),
-            id(0),
-            BcastKind::InitPrime,
-            id(2),
-            7,
-            1,
-            Some(anchor),
-            &mut out,
-        );
+        b.on_message(t(1), id(0), InitPrime, id(2), 7, 1, Some(anchor), &mut out);
         assert_eq!(b.broadcaster_count(), 0);
-        b.on_message(
-            t(2),
-            id(3),
-            BcastKind::InitPrime,
-            id(2),
-            7,
-            1,
-            Some(anchor),
-            &mut out,
-        );
+        b.on_message(t(2), id(3), InitPrime, id(2), 7, 1, Some(anchor), &mut out);
         assert_eq!(b.broadcaster_count(), 1);
         assert!(b.is_broadcaster(id(2)));
         assert!(out.contains(&MsgdAction::BroadcasterDetected(id(2))));
         // Strong quorum sends echo′.
-        b.on_message(
-            t(3),
-            id(1),
-            BcastKind::InitPrime,
-            id(2),
-            7,
-            1,
-            Some(anchor),
-            &mut out,
-        );
-        assert!(sends(&out).contains(&BcastKind::EchoPrime));
+        b.on_message(t(3), id(1), InitPrime, id(2), 7, 1, Some(anchor), &mut out);
+        assert!(sends(&out).contains(&EchoPrime));
     }
 
     #[test]
@@ -1232,27 +875,9 @@ mod tests {
         let anchor = t(0);
         let mut out = Vec::new();
         // Weak quorum of echo′ makes the node relay echo′ (Z3).
-        b.on_message(
-            t(1),
-            id(0),
-            BcastKind::EchoPrime,
-            id(2),
-            7,
-            1,
-            Some(anchor),
-            &mut out,
-        );
-        b.on_message(
-            t(2),
-            id(3),
-            BcastKind::EchoPrime,
-            id(2),
-            7,
-            1,
-            Some(anchor),
-            &mut out,
-        );
-        assert_eq!(sends(&out), vec![BcastKind::EchoPrime]);
+        b.on_message(t(1), id(0), EchoPrime, id(2), 7, 1, Some(anchor), &mut out);
+        b.on_message(t(2), id(3), EchoPrime, id(2), 7, 1, Some(anchor), &mut out);
+        assert_eq!(sends(&out), vec![EchoPrime]);
     }
 
     #[test]
@@ -1261,22 +886,13 @@ mod tests {
         let mut out = Vec::new();
         // No anchor: messages only logged.
         for s in [0u32, 2, 3] {
-            b.on_message(
-                t(s as u64),
-                id(s),
-                BcastKind::Echo,
-                id(2),
-                7,
-                1,
-                None,
-                &mut out,
-            );
+            b.on_message(t(s as u64), id(s), Echo, id(2), 7, 1, None, &mut out);
         }
         assert!(out.is_empty());
         // Anchor arrives: the triplet is evaluated and accepted.
         b.on_anchor(t(10), t(0), &mut out);
         assert_eq!(accepts(&out), 1);
-        assert!(sends(&out).contains(&BcastKind::InitPrime));
+        assert!(sends(&out).contains(&InitPrime));
     }
 
     #[test]
@@ -1285,26 +901,8 @@ mod tests {
         // ids outside the fixed membership fed through the public API.
         let mut b = bc();
         let mut out = Vec::new();
-        b.on_message(
-            t(0),
-            id(1_000_000),
-            BcastKind::Echo,
-            id(2),
-            7,
-            1,
-            Some(t(0)),
-            &mut out,
-        );
-        b.on_message(
-            t(0),
-            id(2),
-            BcastKind::Echo,
-            id(1_000_000),
-            7,
-            1,
-            Some(t(0)),
-            &mut out,
-        );
+        b.on_message(t(0), id(1_000_000), Echo, id(2), 7, 1, Some(t(0)), &mut out);
+        b.on_message(t(0), id(2), Echo, id(1_000_000), 7, 1, Some(t(0)), &mut out);
         assert!(out.is_empty());
         assert_eq!(b.triplet_count(), 0);
     }
@@ -1314,20 +912,11 @@ mod tests {
         let p = params4();
         let mut b = bc();
         let mut out = Vec::new();
+        b.on_message(t(0), id(2), Echo, id(2), 7, 0, Some(t(0)), &mut out);
         b.on_message(
             t(0),
             id(2),
-            BcastKind::Echo,
-            id(2),
-            7,
-            0,
-            Some(t(0)),
-            &mut out,
-        );
-        b.on_message(
-            t(0),
-            id(2),
-            BcastKind::Echo,
+            Echo,
             id(2),
             7,
             p.max_round() + 1,
@@ -1343,13 +932,13 @@ mod tests {
         let p = params4();
         let mut b = bc();
         let mut out = Vec::new();
-        b.on_message(t(0), id(2), BcastKind::Echo, id(2), 7, 1, None, &mut out);
+        b.on_message(t(0), id(2), Echo, id(2), 7, 1, None, &mut out);
         b.cleanup(t(0) + p.msgd_horizon() + Duration::from_nanos(1));
         // Everything decayed; a fresh echo starts from zero.
         b.on_message(
             t(0) + p.msgd_horizon() + Duration::from_nanos(2),
             id(3),
-            BcastKind::Echo,
+            Echo,
             id(2),
             7,
             1,
@@ -1362,35 +951,17 @@ mod tests {
     #[test]
     fn cleanup_drops_future_residue() {
         let mut b = bc();
-        b.corrupt_triplet(id(2), 1, 7, BcastKind::Echo, id(0), t(999_999_999));
+        b.corrupt_triplet(id(2), 1, 7, Echo, id(0), t(999_999_999));
         b.corrupt_broadcaster(id(3), t(999_999_999));
         b.cleanup(t(0));
         assert_eq!(b.broadcaster_count(), 0);
         let mut out = Vec::new();
         // Two fresh echoes should now be exactly a weak quorum (the bogus
         // future echo from id(0) is gone).
-        b.on_message(
-            t(1),
-            id(1),
-            BcastKind::Echo,
-            id(2),
-            7,
-            1,
-            Some(t(0)),
-            &mut out,
-        );
+        b.on_message(t(1), id(1), Echo, id(2), 7, 1, Some(t(0)), &mut out);
         assert!(sends(&out).is_empty());
-        b.on_message(
-            t(2),
-            id(3),
-            BcastKind::Echo,
-            id(2),
-            7,
-            1,
-            Some(t(0)),
-            &mut out,
-        );
-        assert_eq!(sends(&out), vec![BcastKind::InitPrime]);
+        b.on_message(t(2), id(3), Echo, id(2), 7, 1, Some(t(0)), &mut out);
+        assert_eq!(sends(&out), vec![InitPrime]);
     }
 
     #[test]
@@ -1398,16 +969,7 @@ mod tests {
         let mut b = bc();
         let mut out = Vec::new();
         for s in [0u32, 2, 3] {
-            b.on_message(
-                t(1),
-                id(s),
-                BcastKind::InitPrime,
-                id(2),
-                7,
-                1,
-                Some(t(0)),
-                &mut out,
-            );
+            b.on_message(t(1), id(s), InitPrime, id(2), 7, 1, Some(t(0)), &mut out);
         }
         assert_eq!(b.broadcaster_count(), 1);
         b.reset();

@@ -26,11 +26,11 @@
 //!   scratch buffers are always empty between calls, so an outbox may be
 //!   shared across engines (e.g. a thread driving several nodes).
 //!
-//! The pre-outbox Vec-returning dispatch is retained verbatim as
-//! [`engine::reference::ReferenceEngine`](crate::engine::reference::ReferenceEngine)
-//! — the golden model for the equivalence battery in
-//! `crates/core/tests/outbox_equivalence.rs` and the baseline side of the
-//! `store_hot_path` engine benches.
+//! The pre-outbox Vec-returning dispatch is retained as
+//! `ssbyz_reference::ReferenceEngine` in the dev-only `ssbyz-reference`
+//! crate — the golden model for the equivalence battery in
+//! `crates/reference/tests/outbox_equivalence.rs` and the baseline side of
+//! the `store_hot_path` engine benches.
 
 use ssbyz_types::NodeId;
 

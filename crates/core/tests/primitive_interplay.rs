@@ -1,12 +1,14 @@
 //! Hand-driven multi-instance tests of the primitives: several nodes'
 //! state machines wired together directly (no simulator), checking the
 //! relay and uniqueness semantics at the state-machine level with exact
-//! control over timing.
+//! control over timing. Values are plain `u64`s interned through one
+//! shared [`ValueInterner`].
 
 use ssbyz_core::{
     AgrAction, Agreement, BcastKind, Duration, IaAction, IaKind, InitiatorAccept, LocalTime,
-    MsgdAction, MsgdBroadcast, NodeId, Params,
+    MsgdAction, MsgdBroadcast, NodeId, Params, ValueInterner,
 };
+use BcastKind::{Echo, EchoPrime, Init, InitPrime};
 
 const D: u64 = 10_000_000;
 
@@ -29,7 +31,8 @@ fn id(n: u32) -> NodeId {
 /// A tiny synchronous "network" over four InitiatorAccept instances:
 /// deliver every send to every instance at `now + step`.
 struct IaNet {
-    nodes: Vec<InitiatorAccept<u64>>,
+    nodes: Vec<InitiatorAccept>,
+    values: ValueInterner<u64>,
     accepted: Vec<Option<(u64, LocalTime)>>,
 }
 
@@ -39,6 +42,7 @@ impl IaNet {
             nodes: (0..4)
                 .map(|i| InitiatorAccept::new(id(i), id(0), params))
                 .collect(),
+            values: ValueInterner::new(),
             accepted: vec![None; 4],
         }
     }
@@ -52,14 +56,17 @@ impl IaNet {
     ) -> Vec<(u32, IaKind, u64)> {
         let mut next = Vec::new();
         for (sender, kind, value) in wave {
+            let value = self.values.intern(&value);
             for (i, node) in self.nodes.iter_mut().enumerate() {
                 let mut out = Vec::new();
-                node.on_message(now, id(sender), kind, value, &mut out);
+                node.on_message(now, id(sender), kind, value, &self.values, &mut out);
                 for act in out {
                     match act {
-                        IaAction::Send { kind, value } => next.push((i as u32, kind, value)),
+                        IaAction::Send { kind, value } => {
+                            next.push((i as u32, kind, *self.values.resolve(value)));
+                        }
                         IaAction::Accepted { value, tau_g } => {
-                            self.accepted[i] = Some((value, tau_g));
+                            self.accepted[i] = Some((*self.values.resolve(value), tau_g));
                         }
                     }
                 }
@@ -71,13 +78,14 @@ impl IaNet {
     }
 
     fn invoke_all(&mut self, now: LocalTime, value: u64) -> Vec<(u32, IaKind, u64)> {
+        let value = self.values.intern(&value);
         let mut wave = Vec::new();
         for (i, node) in self.nodes.iter_mut().enumerate() {
             let mut out = Vec::new();
-            node.on_initiator(now, value, &mut out);
+            node.on_initiator(now, value, &self.values, &mut out);
             for act in out {
                 if let IaAction::Send { kind, value } = act {
-                    wave.push((i as u32, kind, value));
+                    wave.push((i as u32, kind, *self.values.resolve(value)));
                 }
             }
         }
@@ -144,21 +152,13 @@ fn ia_replay_cannot_double_accept() {
 fn msgd_relay_via_echo_prime() {
     let p = params4();
     let anchor = t(0);
-    let mut a: MsgdBroadcast<u64> = MsgdBroadcast::new(id(1), id(0), p);
-    let mut b: MsgdBroadcast<u64> = MsgdBroadcast::new(id(2), id(0), p);
+    let seven = ValueInterner::new().intern(&7u64);
+    let mut a = MsgdBroadcast::new(id(1), p);
+    let mut b = MsgdBroadcast::new(id(2), p);
     let mut out_a = Vec::new();
     // A sees a strong quorum of echoes (from 0, 2, 3).
     for s in [0u32, 2, 3] {
-        a.on_message(
-            t(1),
-            id(s),
-            BcastKind::Echo,
-            id(3),
-            7,
-            1,
-            Some(anchor),
-            &mut out_a,
-        );
+        a.on_message(t(1), id(s), Echo, id(3), seven, 1, Some(anchor), &mut out_a);
     }
     assert!(out_a
         .iter()
@@ -170,9 +170,9 @@ fn msgd_relay_via_echo_prime() {
         b.on_message(
             t(2),
             id(s),
-            BcastKind::InitPrime,
+            InitPrime,
             id(3),
-            7,
+            seven,
             1,
             Some(anchor),
             &mut out_b,
@@ -181,7 +181,7 @@ fn msgd_relay_via_echo_prime() {
     assert!(out_b.iter().any(|x| matches!(
         x,
         MsgdAction::Send {
-            kind: BcastKind::EchoPrime,
+            kind: EchoPrime,
             ..
         }
     )));
@@ -191,9 +191,9 @@ fn msgd_relay_via_echo_prime() {
         b.on_message(
             t(3),
             id(s),
-            BcastKind::EchoPrime,
+            EchoPrime,
             id(3),
-            7,
+            seven,
             1,
             Some(anchor),
             &mut out_b,
@@ -212,16 +212,17 @@ fn msgd_relay_via_echo_prime() {
 #[test]
 fn msgd_single_forger_cannot_accept() {
     let p = params4();
-    let mut m: MsgdBroadcast<u64> = MsgdBroadcast::new(id(1), id(0), p);
+    let seven = ValueInterner::new().intern(&7u64);
+    let mut m = MsgdBroadcast::new(id(1), p);
     let mut out = Vec::new();
     for i in 0..50u64 {
-        for kind in [BcastKind::Echo, BcastKind::InitPrime, BcastKind::EchoPrime] {
+        for kind in [Echo, InitPrime, EchoPrime] {
             m.on_message(
                 t(i * 1000),
                 id(3), // a single Byzantine sender
                 kind,
                 id(2),
-                7,
+                seven,
                 1,
                 Some(t(0)),
                 &mut out,
@@ -243,18 +244,29 @@ fn decider_relay_enables_chain_decision() {
     let tau_g = t(0);
     // Node 1 decided via block R and invoked msgd-broadcast(1, 7, 1);
     // nodes 0, 2, 3 echo its init. Node 2 has a *late* anchor (R missed).
-    let mut late: Agreement<u64> = Agreement::new(id(2), id(0), p);
+    let mut values = ValueInterner::new();
+    let seven = values.intern(&7u64);
+    let mut late = Agreement::new(id(2), id(0), p);
     let mut out = Vec::new();
-    late.on_i_accept(tau_g + d() * 5u64, 7, tau_g, &mut Vec::new(), &mut out);
+    late.on_i_accept(
+        tau_g + d() * 5u64,
+        seven,
+        tau_g,
+        &values,
+        &mut Vec::new(),
+        &mut out,
+    );
     assert!(!late.has_returned());
     // The decider's init arrives (from node 1, broadcaster 1, round 1).
     late.on_bcast(
         tau_g + d() * 6u64,
         id(1),
-        BcastKind::Init,
+        Init,
         id(1),
-        7,
+        seven,
         1,
+        &values,
+        &mut Vec::new(),
         &mut out,
     );
     // Echoes from everyone (node 2's own echo comes back too).
@@ -262,20 +274,22 @@ fn decider_relay_enables_chain_decision() {
         late.on_bcast(
             tau_g + d() * 7u64,
             id(s),
-            BcastKind::Echo,
+            Echo,
             id(1),
-            7,
+            seven,
             1,
+            &values,
+            &mut Vec::new(),
             &mut out,
         );
     }
     assert!(late.has_returned(), "chain of length 1 decides");
-    assert_eq!(late.decision(), Some(&Some(7)));
+    assert_eq!(late.decision(), Some(&Some(seven)));
     // And it relayed at round 2.
     assert!(out.iter().any(|a| matches!(
         a,
         AgrAction::SendBcast {
-            kind: BcastKind::Init,
+            kind: Init,
             round: 2,
             ..
         }
@@ -289,19 +303,48 @@ fn decider_relay_enables_chain_decision() {
 fn duplicate_broadcaster_does_not_lengthen_chain() {
     let p = Params::from_d(7, 2, Duration::from_nanos(D), 0).unwrap();
     let tau_g = t(0);
-    let mut agr: Agreement<u64> = Agreement::new(id(1), id(0), p);
+    let mut values = ValueInterner::new();
+    let seven = values.intern(&7u64);
+    let mut agr = Agreement::new(id(1), id(0), p);
     let mut out = Vec::new();
-    agr.on_i_accept(tau_g + d() * 5u64, 7, tau_g, &mut Vec::new(), &mut out);
+    agr.on_i_accept(
+        tau_g + d() * 5u64,
+        seven,
+        tau_g,
+        &values,
+        &mut Vec::new(),
+        &mut out,
+    );
     // Work at elapsed 4Φ: past the r = 1 chain deadline (3Φ), within the
     // r = 2 deadline (5Φ). The round-1 accept must therefore arrive via
     // the *untimed* Z path (echo′ quorum).
     let now = tau_g + p.phi() * 4u64;
     for s in [0u32, 2, 3, 4, 5] {
-        agr.on_bcast(now, id(s), BcastKind::EchoPrime, id(3), 7, 1, &mut out);
+        agr.on_bcast(
+            now,
+            id(s),
+            EchoPrime,
+            id(3),
+            seven,
+            1,
+            &values,
+            &mut Vec::new(),
+            &mut out,
+        );
     }
     // Round-2 accept by the SAME broadcaster 3 (echo path, within 5Φ).
     for s in [0u32, 2, 3, 4, 5] {
-        agr.on_bcast(now, id(s), BcastKind::Echo, id(3), 7, 2, &mut out);
+        agr.on_bcast(
+            now,
+            id(s),
+            Echo,
+            id(3),
+            seven,
+            2,
+            &values,
+            &mut Vec::new(),
+            &mut out,
+        );
     }
     assert!(
         !agr.has_returned(),
@@ -309,8 +352,18 @@ fn duplicate_broadcaster_does_not_lengthen_chain() {
     );
     // A round-2 accept from a different broadcaster completes the chain.
     for s in [0u32, 2, 3, 4, 5] {
-        agr.on_bcast(now, id(s), BcastKind::Echo, id(4), 7, 2, &mut out);
+        agr.on_bcast(
+            now,
+            id(s),
+            Echo,
+            id(4),
+            seven,
+            2,
+            &values,
+            &mut Vec::new(),
+            &mut out,
+        );
     }
     assert!(agr.has_returned(), "distinct broadcasters decide");
-    assert_eq!(agr.decision(), Some(&Some(7)));
+    assert_eq!(agr.decision(), Some(&Some(seven)));
 }

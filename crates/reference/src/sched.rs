@@ -1,15 +1,9 @@
-//! The retained `BinaryHeap` scheduler — the golden model.
-//!
-//! This is (modulo the handle surface) the event queue that
-//! `ssbyz-simnet` and the `ssbyz-runtime` router used before the timer
-//! wheel: a min-heap on `(due, seq)`. It exists for two jobs, mirroring
-//! `ssbyz_core::store::reference`:
-//!
-//! * **golden model** — the equivalence property tests drive random
-//!   insert/cancel/advance interleavings through both queues and require
-//!   identical `(due, seq, payload)` pop streams;
-//! * **bench baseline** — `sched_hot_path` measures the wheel against
-//!   this heap on the same workload.
+//! The `BinaryHeap` event queue the [`ssbyz_sched::TimerWheel`]
+//! replaced: a min-heap on `(due, seq)`. It is the golden model of
+//! `tests/sched_equivalence.rs`, which requires identical `(due, seq,
+//! payload)` pop streams from both queues over random
+//! insert/cancel/advance interleavings, and the baseline of the
+//! `sched_hot_path` bench.
 //!
 //! Cancellation is deliberately the *old* lazy scheme: a tombstone set,
 //! with dead entries filtered at pop. That keeps the model honest about
@@ -19,7 +13,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use crate::{EventQueue, Expired, TimerHandle};
+use ssbyz_sched::{EventQueue, Expired, TimerHandle};
 
 struct Scheduled<T> {
     due: u64,
@@ -86,11 +80,11 @@ impl<T> EventQueue<T> for ReferenceQueue<T> {
         self.heap.push(Reverse(Scheduled { due, seq, payload }));
         self.pending.insert(seq);
         // The seq doubles as the handle: unique per entry, never reused.
-        TimerHandle(seq)
+        TimerHandle::from_raw(seq)
     }
 
     fn cancel(&mut self, handle: TimerHandle) -> bool {
-        let seq = handle.0;
+        let seq = handle.raw();
         if !self.pending.remove(&seq) {
             return false;
         }

@@ -3,7 +3,7 @@
 //! Byzantine duplicates, forged senders, out-of-membership ids and
 //! out-of-order re-deliveries — the interned [`Engine`] must produce
 //! **bit-identical** output sequences to the retained value-keyed
-//! `BTreeMap` dispatch (`engine::reference::ReferenceEngine`), call by
+//! `BTreeMap` dispatch (`ssbyz_reference::ReferenceEngine`), call by
 //! call.
 //!
 //! Two value types drive the battery:
@@ -24,8 +24,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use ssbyz_core::engine::reference::ReferenceEngine;
 use ssbyz_core::{BcastKind, Engine, IaKind, InitiateError, Msg, Outbox, Output, Params, Value};
+use ssbyz_reference::ReferenceEngine;
 use ssbyz_types::{Duration, LocalTime, NodeId};
 
 const D: u64 = 10_000_000; // 10ms in ns

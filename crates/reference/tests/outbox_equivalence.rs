@@ -3,7 +3,7 @@
 //! Byzantine duplicates, forged senders, out-of-membership ids and
 //! out-of-order re-deliveries — the pooled [`Engine`] must produce
 //! **bit-identical** output sequences to the retained Vec-returning
-//! dispatch (`engine::reference::ReferenceEngine`), call by call.
+//! dispatch (`ssbyz_reference::ReferenceEngine`), call by call.
 //!
 //! This mirrors the discipline of `store_equivalence.rs` (dense arrival
 //! log vs `BTreeMap` model) and `sched_equivalence.rs` (timer wheel vs
@@ -13,8 +13,8 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use ssbyz_core::engine::reference::ReferenceEngine;
 use ssbyz_core::{BcastKind, Engine, IaKind, Msg, Outbox, Output, Params};
+use ssbyz_reference::ReferenceEngine;
 use ssbyz_types::{Duration, LocalTime, NodeId};
 
 const D: u64 = 10_000_000; // 10ms in ns

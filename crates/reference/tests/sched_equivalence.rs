@@ -7,8 +7,8 @@
 //! are event-for-event identical to the heap scheduler it replaced.
 
 use proptest::prelude::*;
-use ssbyz_simnet::sched::reference::ReferenceQueue;
-use ssbyz_simnet::sched::{EventQueue, Expired, TimerHandle, TimerWheel};
+use ssbyz_reference::ReferenceQueue;
+use ssbyz_sched::{EventQueue, Expired, TimerHandle, TimerWheel};
 
 /// Both queues driven in lockstep; every observable must agree.
 struct Pair {

@@ -5,8 +5,8 @@
 //! timestamps and local-time wrap-around.
 
 use proptest::prelude::*;
-use ssbyz_core::store::reference::ReferenceArrivalLog;
 use ssbyz_core::store::ArrivalLog;
+use ssbyz_reference::ReferenceArrivalLog;
 use ssbyz_types::{Duration, LocalTime, NodeId};
 
 /// Compares every public query surface of the two logs at one instant.

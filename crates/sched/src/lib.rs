@@ -16,14 +16,13 @@
 //! far-future overflow level so no due time is ever rejected. Pop order
 //! is **exactly** the heap's `(due, seq)` order — FIFO within a tick —
 //! so simulation traces are bit-identical to the heap scheduler they
-//! replace; `crates/simnet/tests/sched_equivalence.rs` proves this
-//! against [`reference::ReferenceQueue`], the retained heap
+//! replace; `crates/reference/tests/sched_equivalence.rs` proves this
+//! against `ssbyz_reference::ReferenceQueue`, the retained heap
 //! implementation that doubles as the bench baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod reference;
 mod wheel;
 
 pub use wheel::TimerWheel;
@@ -48,6 +47,21 @@ pub struct Expired<T> {
 pub struct TimerHandle(pub(crate) u64);
 
 impl TimerHandle {
+    /// Rebuilds a handle from the raw bits [`TimerHandle::raw`] returned.
+    /// The bits are opaque to callers; this pair exists so that
+    /// [`EventQueue`] implementations outside this crate can mint and read
+    /// their own handles.
+    #[must_use]
+    pub fn from_raw(raw: u64) -> Self {
+        TimerHandle(raw)
+    }
+
+    /// The raw handle bits.
+    #[must_use]
+    pub fn raw(self) -> u64 {
+        self.0
+    }
+
     pub(crate) fn pack(idx: u32, gen: u32) -> Self {
         TimerHandle((u64::from(gen) << 32) | u64::from(idx))
     }
